@@ -18,9 +18,9 @@
 //     Reported at the call site. The check is flow-insensitive: it
 //     proves the path is instrumented, not that the check precedes the
 //     operation.
-//  2. Must-cross entry points — the gpusim Partition Execute family and
-//     (*ingest.Store).CompactOnce — must themselves cross their point
-//     (GPUExec, Compaction). Reported at the declaration.
+//  2. Must-cross entry points — every exported gpusim Partition.Execute*
+//     method and (*ingest.Store).CompactOnce — must themselves cross
+//     their point (GPUExec, Compaction). Reported at the declaration.
 //
 // Deliberately uninstrumented paths (offline reference executors, fault
 // -free experiment builders) carry an `olaplint:faultexempt` directive
@@ -30,6 +30,7 @@ package faultpoint
 import (
 	"path"
 	"sort"
+	"strings"
 
 	"hybridolap/internal/analysis"
 	"hybridolap/internal/analysis/callgraph"
@@ -76,11 +77,18 @@ var guarded = map[key]string{
 
 // mustCross maps each entry point to the Point it must itself cross.
 var mustCross = map[key]string{
-	{"gpusim", "m.Partition.Execute"}:              "GPUExec",
-	{"gpusim", "m.Partition.ExecuteGroup"}:         "GPUExec",
-	{"gpusim", "m.Partition.ExecuteSnapshot"}:      "GPUExec",
-	{"gpusim", "m.Partition.ExecuteGroupSnapshot"}: "GPUExec",
-	{"ingest", "m.Store.CompactOnce"}:              "Compaction",
+	{"ingest", "m.Store.CompactOnce"}: "Compaction",
+}
+
+// mustCrossPoint returns the Point an entry point must cross: the exact
+// mustCross keys, plus every exported gpusim Partition.Execute* method —
+// a new kernel entry point is covered without editing this list.
+func mustCrossPoint(k key) (string, bool) {
+	if k.pkgBase == "gpusim" && strings.HasPrefix(k.objPath, "m.Partition.Execute") {
+		return "GPUExec", true
+	}
+	pt, ok := mustCross[k]
+	return pt, ok
 }
 
 func run(pass *analysis.Pass) (any, error) {
@@ -142,7 +150,7 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 		disp := callgraph.FuncDisplay(pass.Pkg.Path(), fn.ObjPath)
 		set := crossed[fn.ObjPath]
-		if pt, ok := mustCross[key{path.Base(pass.Pkg.Path()), fn.ObjPath}]; ok && !set[pt] {
+		if pt, ok := mustCrossPoint(key{path.Base(pass.Pkg.Path()), fn.ObjPath}); ok && !set[pt] {
 			pass.Reportf(fn.Decl.Pos(), "%s must cross the fault.%s injection point but never does: the chaos suite cannot reach this path",
 				disp, pt)
 		}

@@ -27,3 +27,12 @@ func (p *Partition) Execute() error { return p.dev.faultCheck(p.id) }
 func (p *Partition) ExecuteGroup() error { // want `gpusim\.Partition\.ExecuteGroup must cross the fault\.GPUExec injection point but never does`
 	return nil
 }
+
+// ExecuteFused is outside any fixed list of entry points, yet every
+// exported Execute* method must cross gpu-exec.
+func (p *Partition) ExecuteFused() error { // want `gpusim\.Partition\.ExecuteFused must cross the fault\.GPUExec injection point but never does`
+	return nil
+}
+
+// execute is unexported, so the rule does not apply.
+func (p *Partition) execute() error { return nil }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"hybridolap/internal/fault"
-	"hybridolap/internal/gpusim"
 	"hybridolap/internal/query"
 	"hybridolap/internal/sched"
 	"hybridolap/internal/table"
@@ -283,13 +282,7 @@ func (s *System) executeFused(g *fusionGroup) {
 	}
 	part := s.cfg.Device.Partitions()[d.Queue.Index]
 	t0 := time.Now()
-	var answers []gpusim.FusedAnswer
-	var execErr error
-	if g.snap != nil {
-		answers, execErr = part.ExecuteFusedSnapshot(g.snap, reqs, wantCells)
-	} else {
-		answers, execErr = part.ExecuteFused(reqs, wantCells)
-	}
+	answers, execErr := part.ExecuteFused(g.snap, reqs, wantCells)
 	act := time.Since(t0).Seconds()
 	s.schedMu.Lock()
 	s.scheduler.Feedback(d.Queue, act-(d.End-d.Start), s.nowS())

@@ -102,10 +102,7 @@ func (s *System) AnswerOnGPUAt(q *query.Query, partition int, snap *table.Snapsh
 	if empty {
 		return table.ScanResult{}, nil
 	}
-	if snap != nil {
-		return parts[partition].ExecuteSnapshot(snap, req)
-	}
-	return parts[partition].Execute(req)
+	return parts[partition].Execute(snap, req)
 }
 
 // ReferenceAt answers a query by a sequential scan of the given epoch
@@ -148,10 +145,7 @@ func (s *System) AnswerGroupsOnGPUAt(q *query.Query, partition int, snap *table.
 	if empty {
 		return nil, nil
 	}
-	if snap != nil {
-		return parts[partition].ExecuteGroupSnapshot(snap, req)
-	}
-	return parts[partition].ExecuteGroup(req)
+	return parts[partition].ExecuteGroup(snap, req)
 }
 
 // ReferenceGroupsAt answers a grouped query by a sequential scan of the

@@ -59,6 +59,7 @@ func PaperLayout() []int { return []int{1, 1, 2, 2, 4, 4} }
 type Device struct {
 	spec       DeviceSpec
 	ft         *table.FactTable
+	snap       *table.Snapshot // ft as a one-stripe snapshot
 	partitions []*Partition
 	faults     *fault.Plan
 }
@@ -89,6 +90,7 @@ func (d *Device) LoadTable(ft *table.FactTable) error {
 			ft.SizeBytes(), d.spec.GlobalMemBytes)
 	}
 	d.ft = ft
+	d.snap = table.SnapshotOf(ft)
 	return nil
 }
 

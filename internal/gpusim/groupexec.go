@@ -1,95 +1,37 @@
 package gpusim
 
-import (
-	"fmt"
-	"sync"
-
-	"hybridolap/internal/table"
-)
+import "hybridolap/internal/table"
 
 // ExecuteGroup runs a grouped query on this partition with the same
-// pipeline as Execute: the request binds once, a parallel table scan over
-// row stripes builds per-SM hash tables keyed by the packed group key (one
-// table per SM, accumulated across every stripe it drains — not one per
-// stripe), a parallel reduction merges them, and the finalised per-group
+// pipeline as Execute over an epoch snapshot (nil: the resident table):
+// the request binds once per stripe, a parallel scan over the work units
+// builds per-SM hash tables keyed by the packed group key (one table per
+// SM, accumulated across every unit it drains — not one per unit), a
+// parallel reduction merges them in SM order, and the finalised per-group
 // rows return sorted by key.
-func (p *Partition) ExecuteGroup(req table.GroupScanRequest) ([]table.GroupRow, error) {
+func (p *Partition) ExecuteGroup(snap *table.Snapshot, req table.GroupScanRequest) ([]table.GroupRow, error) {
 	if err := p.dev.faultCheck(p.id); err != nil {
 		return nil, err
 	}
-	ft := p.dev.ft
-	if ft == nil {
-		return nil, fmt.Errorf("gpusim: no table loaded")
-	}
-	plan, err := table.BindGroupScan(ft, req)
+	snap, plans, err := bindStripes(p, snap, func(ft *table.FactTable) (*table.GroupScanPlan, error) {
+		return table.BindGroupScan(ft, req)
+	})
 	if err != nil {
 		return nil, err
 	}
-	rows := ft.Rows()
-	stripes := p.sms * StripesPerSM
-	if stripes > rows {
-		stripes = rows
+	units := cutUnits(snap, p.sms)
+	perSM := make([]table.Groups, p.sms)
+	err = p.drain(len(units), func(w, i int) (err error) {
+		u := units[i]
+		perSM[w], err = plans[u.stripe].RangeInto(u.lo, u.hi, perSM[w])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	if stripes <= 1 {
-		g, err := plan.RangeInto(0, rows, nil)
-		if err != nil {
-			return nil, err
-		}
-		p.done()
-		return table.FinalizeGroups(req.Op, g, len(req.GroupBy)), nil
-	}
-
-	stripeLen := (rows + stripes - 1) / stripes
-	var next int
-	var nextMu sync.Mutex
-	takeStripe := func() int {
-		nextMu.Lock()
-		defer nextMu.Unlock()
-		if next >= stripes {
-			return -1
-		}
-		s := next
-		next++
-		return s
-	}
-	partials := make([]table.Groups, p.sms)
-	errs := make([]error, p.sms)
-	var wg sync.WaitGroup
-	for sm := 0; sm < p.sms; sm++ {
-		wg.Add(1)
-		go func(sm int) {
-			defer wg.Done()
-			var acc table.Groups
-			for {
-				s := takeStripe()
-				if s < 0 {
-					break
-				}
-				lo := s * stripeLen
-				hi := lo + stripeLen
-				if hi > rows {
-					hi = rows
-				}
-				if lo >= hi {
-					continue
-				}
-				part, err := plan.RangeInto(lo, hi, acc)
-				if err != nil {
-					errs[sm] = err
-					return
-				}
-				acc = part
-			}
-			partials[sm] = acc
-		}(sm)
-	}
-	wg.Wait()
-	var acc table.Groups
-	for sm := 0; sm < p.sms; sm++ {
-		if errs[sm] != nil {
-			return nil, errs[sm]
-		}
-		acc = table.MergeGroups(req.Op, acc, partials[sm])
+	acc := perSM[0]
+	for _, g := range perSM[1:] {
+		acc = table.MergeGroups(req.Op, acc, g)
 	}
 	p.done()
 	return table.FinalizeGroups(req.Op, acc, len(req.GroupBy)), nil

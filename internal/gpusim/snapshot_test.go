@@ -71,7 +71,7 @@ func TestExecuteSnapshotMatchesWholeTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range d.Partitions() {
-			got, err := p.ExecuteSnapshot(snap, req)
+			got, err := p.Execute(snap, req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +99,7 @@ func TestExecuteGroupSnapshotMatchesWholeTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range d.Partitions() {
-			got, err := p.ExecuteGroupSnapshot(snap, req)
+			got, err := p.ExecuteGroup(snap, req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,15 +120,16 @@ func TestExecuteGroupSnapshotMatchesWholeTable(t *testing.T) {
 func TestExecuteSnapshotEdgeCases(t *testing.T) {
 	d := newTestDevice(t, 64)
 	p := d.Partitions()[0]
-	if _, err := p.ExecuteSnapshot(nil, table.ScanRequest{Op: table.AggCount}); err == nil {
-		t.Fatal("nil snapshot accepted")
+	// A nil snapshot means the resident table.
+	if got, err := p.Execute(nil, table.ScanRequest{Op: table.AggCount}); err != nil || got.Rows != 64 {
+		t.Fatalf("nil snapshot: got %+v, %v; want the 64 resident rows", got, err)
 	}
-	if _, err := p.ExecuteGroupSnapshot(nil, table.GroupScanRequest{}); err == nil {
-		t.Fatal("nil snapshot accepted (grouped)")
+	if _, err := p.ExecuteGroup(nil, table.GroupScanRequest{}); err == nil {
+		t.Fatal("grouped request without group columns accepted")
 	}
 	// A tiny snapshot (fewer rows than SMs×stripes) must still answer.
 	snap, whole := testSnapshot(t, 3, []int{1, 2})
-	got, err := p.ExecuteSnapshot(snap, table.ScanRequest{Op: table.AggCount})
+	got, err := p.Execute(snap, table.ScanRequest{Op: table.AggCount})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestExecuteSnapshotEdgeCases(t *testing.T) {
 		t.Fatalf("tiny snapshot: got %+v, want %+v", got, want)
 	}
 	// Scan errors must propagate, not panic.
-	if _, err := p.ExecuteSnapshot(snap, table.ScanRequest{Op: table.AggSum, Measure: 99}); err == nil {
+	if _, err := p.Execute(snap, table.ScanRequest{Op: table.AggSum, Measure: 99}); err == nil {
 		t.Fatal("bad measure accepted")
 	}
 }

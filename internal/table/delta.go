@@ -16,6 +16,13 @@ func (t *FactTable) WithDicts(ds *dict.Set) *FactTable {
 	return &out
 }
 
+// Empty returns a zero-row table of the schema: what a request binds
+// against to be validated when a snapshot has no stripes.
+func Empty(schema Schema) (*FactTable, error) {
+	return FromColumns(schema, make([][]uint32, len(schema.Dimensions)),
+		make([][]float64, len(schema.Measures)), make([][]uint32, len(schema.Texts)), dict.NewSet())
+}
+
 // FromColumns materializes an immutable FactTable directly from columnar
 // data: finest-level coordinates per dimension, measure columns, and
 // pre-encoded text code columns referencing a shared (append-capable)

@@ -95,9 +95,8 @@ func FusionKey(req ScanRequest) string {
 }
 
 // fusedMember is one member query of a fused pass: its residual predicates
-// (selectivity-ordered), its aggregation, and optionally the grouping
-// columns it scatters per-cell accumulators into (group-by columns for a
-// fused grouped plan, predicate columns for a cell-cacheable scalar
+// (selectivity-ordered), its aggregation, and optionally the predicate
+// columns it scatters per-cell accumulators into (a cell-cacheable
 // member).
 type fusedMember struct {
 	op    AggOp
@@ -105,10 +104,10 @@ type fusedMember struct {
 	preds []boundPred
 	never bool
 	cells bool       // scatter per-cell instead of scalar
-	gcols [][]uint32 // cell/group coordinate columns, canonical order
+	gcols [][]uint32 // cell coordinate columns, canonical order
 }
 
-// fusedCore is the shared pass state of scalar and grouped fused plans.
+// fusedCore is the shared pass state of a fused plan.
 type fusedCore struct {
 	rows      int
 	shared    boundPred // envelope predicate (shapeRange), valid when sharedSet
@@ -602,105 +601,4 @@ func FoldCells(op AggOp, cells Groups) ScanResult {
 		acc = Merge(op, acc, cells[k])
 	}
 	return acc
-}
-
-// FusedGroupScanPlan is K compatible GroupScanRequests bound as one shared
-// pass: members share the predicate column set but group by their own
-// columns into their own destination maps.
-type FusedGroupScanPlan struct {
-	fusedCore
-	ncols []int // group columns per member
-}
-
-// GroupCols returns the number of grouping columns of member i.
-func (pl *FusedGroupScanPlan) GroupCols(i int) int { return pl.ncols[i] }
-
-// BindFusedGroupScan binds K compatible grouped requests into one fused
-// plan. Predicate column sets must match (the fusion compatibility rule);
-// group-by columns are free per member.
-func BindFusedGroupScan(t *FactTable, reqs []GroupScanRequest) (*FusedGroupScanPlan, error) {
-	scans := make([]ScanRequest, len(reqs))
-	for i := range reqs {
-		if len(reqs[i].GroupBy) == 0 {
-			return nil, fmt.Errorf("table: member %d: grouped scan needs at least one group column", i)
-		}
-		if len(reqs[i].GroupBy) > MaxGroupCols {
-			return nil, fmt.Errorf("table: member %d: at most %d group columns (got %d)", i, MaxGroupCols, len(reqs[i].GroupBy))
-		}
-		scans[i] = reqs[i].ScanRequest
-	}
-	core, _, err := bindFusedCore(t, scans)
-	if err != nil {
-		return nil, err
-	}
-	pl := &FusedGroupScanPlan{fusedCore: *core, ncols: make([]int, len(reqs))}
-	for mi := range reqs {
-		m := &pl.members[mi]
-		m.cells = true
-		m.gcols = make([][]uint32, len(reqs[mi].GroupBy))
-		pl.ncols[mi] = len(reqs[mi].GroupBy)
-		for gi, g := range reqs[mi].GroupBy {
-			col, err := validateGroupCol(t, g)
-			if err != nil {
-				return nil, fmt.Errorf("table: member %d: %w", mi, err)
-			}
-			m.gcols[gi] = col
-		}
-	}
-	return pl, nil
-}
-
-// RangeInto runs the fused grouped kernel over rows [lo, hi), accumulating
-// into one destination map per member (allocated when nil) and returning
-// them. One shared pass visits rows in ascending order, so each member's
-// map is bit-identical to its own unfused GroupScanPlan.RangeInto over the
-// same range.
-func (pl *FusedGroupScanPlan) RangeInto(lo, hi int, dsts []Groups) ([]Groups, error) {
-	if lo < 0 || hi > pl.rows || lo > hi {
-		return dsts, fmt.Errorf("table: scan range [%d,%d) outside [0,%d)", lo, hi, pl.rows)
-	}
-	if dsts == nil {
-		dsts = make([]Groups, len(pl.members))
-	}
-	if len(dsts) != len(pl.members) {
-		return dsts, fmt.Errorf("table: got %d destinations for %d members", len(dsts), len(pl.members))
-	}
-	for i := range dsts {
-		if dsts[i] == nil {
-			dsts[i] = make(Groups)
-		}
-	}
-	if pl.never {
-		return dsts, nil
-	}
-	sc := fusedScratchPool.Get().(*fusedScratch)
-	shared, msel := sc.shared, sc.member
-	for base := lo; base < hi; base += BatchSize {
-		n := hi - base
-		if n > BatchSize {
-			n = BatchSize
-		}
-		var k int
-		if pl.sharedSet {
-			k = seedRange(pl.shared.col, base, n, pl.shared.from, pl.shared.to, shared)
-		} else {
-			k = fillDense(shared, n)
-		}
-		if k == 0 {
-			continue
-		}
-		for mi := range pl.members {
-			m := &pl.members[mi]
-			if m.never {
-				continue
-			}
-			kk := m.refineShared(base, k, shared, msel)
-			if kk == 0 {
-				continue
-			}
-			m.accumulateGroups(dsts[mi], base, msel[:kk])
-		}
-	}
-	fusedScratchPool.Put(sc)
-	return dsts, nil
 }

@@ -65,10 +65,21 @@ type Snapshot struct {
 	stripes []*Stripe
 	rows    int
 	aux     any
+	schema  *Schema
+}
+
+// SnapshotOf wraps one table as a single-stripe snapshot at epoch 0: the
+// shape of a static table that never ingests.
+func SnapshotOf(t *FactTable) *Snapshot {
+	return &Snapshot{stripes: []*Stripe{{kind: StripeBase, t: t}}, rows: t.rows, schema: &t.schema}
 }
 
 // Epoch returns the snapshot's epoch number (0 is the base-only epoch).
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
+
+// Schema returns the schema every stripe shares; a snapshot with no
+// stripes still has one.
+func (s *Snapshot) Schema() *Schema { return s.schema }
 
 // Stripes returns the visible stripes in logical row order (do not
 // modify).
@@ -122,7 +133,7 @@ func NewRegistry(schema Schema, base *FactTable, aux any) (*Registry, error) {
 		return nil, err
 	}
 	r := &Registry{schema: schema}
-	snap := &Snapshot{aux: aux}
+	snap := &Snapshot{aux: aux, schema: &r.schema}
 	if base != nil {
 		if err := sameSchema(&schema, base.Schema()); err != nil {
 			return nil, fmt.Errorf("table: base stripe: %w", err)
@@ -172,7 +183,7 @@ func (r *Registry) Publish(adds []*FactTable, kind StripeKind, removeIDs []uint6
 		r.nextID++
 	}
 
-	next := &Snapshot{epoch: old.epoch + 1, aux: aux}
+	next := &Snapshot{epoch: old.epoch + 1, aux: aux, schema: &r.schema}
 	next.stripes = make([]*Stripe, 0, len(old.stripes)+len(wrapped))
 	spliced := false
 	for _, st := range old.stripes {
