@@ -278,6 +278,8 @@ type cacheStats struct {
 	EpochInvalidations int64 `json:"epoch_invalidations"`
 	Stores             int64 `json:"stores"`
 	Evictions          int64 `json:"evictions"`
+	Extensions         int64 `json:"extensions"`
+	ExtendedRows       int64 `json:"extended_rows"`
 }
 
 type statsResponse struct {
@@ -334,6 +336,8 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		EpochInvalidations: cs.EpochInvalidations,
 		Stores:             cs.Stores,
 		Evictions:          cs.Evictions,
+		Extensions:         cs.Extensions,
+		ExtendedRows:       cs.ExtendedRows,
 	}
 	if s.db.System().Live() != nil {
 		ist := s.db.IngestStats()

@@ -354,3 +354,40 @@ func TestQueryServingPath(t *testing.T) {
 		t.Fatalf("cache stats: %+v", st.Cache)
 	}
 }
+
+// TestStatsCacheExtensions: on a live server a cached count survives an
+// ingest by folding the appended rows, and /stats reports the extension.
+func TestStatsCacheExtensions(t *testing.T) {
+	db, err := olap.Open(olap.Options{Rows: 2000, Seed: 5, Live: true, ResultCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newMux(db))
+	t.Cleanup(func() {
+		ts.Close()
+		if err := db.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	const count = `{"sql":"SELECT count(*) WHERE time.day BETWEEN 0 AND 255"}`
+	var v queryResponse
+	if code := postQuery(t, ts, count, &v); code != 200 {
+		t.Fatalf("query = %d", code)
+	}
+	body := `{"rows":[
+		{"coords":[0,0,0],"measures":[100,1],"texts":["ingested corp","metropolis"]},
+		{"coords":[1,1,1],"measures":[200,2],"texts":["ingested corp","metropolis"]}]}`
+	if code := post(t, ts, "/ingest", body, nil); code != 200 {
+		t.Fatalf("ingest = %d", code)
+	}
+	if code := postQuery(t, ts, count, &v); code != 200 || !v.Cached || v.Rows == nil || *v.Rows != 2002 {
+		t.Fatalf("count after ingest: %d %+v", code, v)
+	}
+	var st statsResponse
+	if code := get(t, ts, "/stats", &st); code != 200 {
+		t.Fatalf("stats: %d", code)
+	}
+	if st.Cache.Extensions != 1 || st.Cache.ExtendedRows != 2 {
+		t.Fatalf("cache stats: %+v", st.Cache)
+	}
+}

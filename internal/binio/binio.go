@@ -24,6 +24,9 @@ type Writer struct {
 	err error
 	buf [8]byte
 	n   int64
+	// str is String's scratch copy: the CRC and the buffered writer take
+	// byte slices, and reusing one buffer keeps each string allocation-free.
+	str []byte
 }
 
 // NewWriter wraps w.
@@ -74,7 +77,8 @@ func (w *Writer) String(s string) {
 		return
 	}
 	w.U32(uint32(len(s)))
-	w.write([]byte(s))
+	w.str = append(w.str[:0], s...)
+	w.write(w.str)
 }
 
 // U32s writes a uint32 slice (length-prefixed).

@@ -33,9 +33,12 @@ type ServeOutcome struct {
 	// Fused reports the answer came from a fused job of FanIn members.
 	Fused bool
 	FanIn int
-	// CacheHit/Subsumed report a cache answer (exact / interval-subsumed).
+	// CacheHit/Subsumed report a cache answer (exact / interval-subsumed);
+	// Extended, that the entry first folded the rows ingested since the
+	// epoch it was computed at.
 	CacheHit bool
 	Subsumed bool
+	Extended bool
 	// Attempts counts real executions (0 for cache hits).
 	Attempts int
 	Latency  time.Duration
@@ -57,7 +60,6 @@ type fusionMember struct {
 type fusionGroup struct {
 	key     string
 	snap    *table.Snapshot
-	epoch   uint64
 	members []*fusionMember
 	full    chan struct{} // closed when FusionMaxFanIn members joined
 	done    chan struct{} // closed by the leader when outcomes are ready
@@ -87,10 +89,10 @@ func (s *System) Serve(q0 *query.Query) (ServeOutcome, error) {
 	// path, whose translation worker owns deadline-aware retries.
 	if q.NeedsTranslation() {
 		if err := s.cfg.Faults.Check(fault.DictLookup, -1); err != nil {
-			return s.runSingle(q0, started, nil, epoch)
+			return s.runSingle(q0, started, nil)
 		}
 		if _, err := query.Translate(q, s.dicts()); err != nil {
-			return s.runSingle(q0, started, nil, epoch)
+			return s.runSingle(q0, started, nil)
 		}
 	}
 	req, empty, err := q.ToScanRequest(s.cfg.Table.Schema())
@@ -104,10 +106,10 @@ func (s *System) Serve(q0 *query.Query) (ServeOutcome, error) {
 	}
 
 	if s.cache != nil {
-		if ans, ok := s.cache.lookup(&req, epoch); ok {
+		if ans, ok := s.cache.lookup(&req, snap); ok {
 			return ServeOutcome{
 				Result: ans.result, Queue: ans.queue,
-				CacheHit: true, Subsumed: ans.subsumed,
+				CacheHit: true, Subsumed: ans.subsumed, Extended: ans.extended,
 				Latency: time.Since(started),
 			}, nil
 		}
@@ -120,7 +122,7 @@ func (s *System) Serve(q0 *query.Query) (ServeOutcome, error) {
 	// CPU-answerable queries bypass the window: shared scans target the
 	// GPU fact-table path, and the cube walk is already cheap.
 	if !s.cfg.FusionEnabled || est.CPUOK {
-		return s.runSingle(q, started, &req, epoch)
+		return s.runSingle(q, started, &req)
 	}
 
 	m := &fusionMember{req: req, est: est, wantCells: s.wantCells(&req)}
@@ -141,7 +143,7 @@ func (s *System) Serve(q0 *query.Query) (ServeOutcome, error) {
 	if m.fallback {
 		// Fused booking or execution failed: this member retries alone
 		// through the existing deadline-aware retry path.
-		return s.runSingle(q, started, &req, epoch)
+		return s.runSingle(q, started, &req)
 	}
 	m.out.Latency = time.Since(started)
 	return m.out, nil
@@ -174,8 +176,9 @@ func (s *System) wantCells(req *table.ScanRequest) bool {
 }
 
 // runSingle answers one query through RunReal (scheduling, feedback,
-// retries included) and caches the answer when req is known.
-func (s *System) runSingle(q *query.Query, started time.Time, req *table.ScanRequest, epoch uint64) (ServeOutcome, error) {
+// retries included) and caches the answer when req is known, against the
+// snapshot RunReal pinned and answered.
+func (s *System) runSingle(q *query.Query, started time.Time, req *table.ScanRequest) (ServeOutcome, error) {
 	res, err := s.RunReal([]*query.Query{q})
 	if err != nil {
 		return ServeOutcome{}, err
@@ -189,12 +192,7 @@ func (s *System) runSingle(q *query.Query, started time.Time, req *table.ScanReq
 		return out, o.Err
 	}
 	if s.cache != nil && req != nil {
-		// RunReal pins its own epoch; epochs are monotone, so the answer is
-		// from the epoch Serve pinned iff no newer epoch has been published
-		// by now. Skip the store otherwise — never cache cross-epoch bits.
-		if cur := s.pin(); cur == nil || cur.Epoch() == epoch {
-			s.cache.store(req, epoch, o.Result, nil, o.Queue)
-		}
+		s.cache.store(req, o.snap, o.Result, nil, o.Queue)
 	}
 	return out, nil
 }
@@ -215,7 +213,7 @@ func (s *System) joinWindow(epoch uint64, snap *table.Snapshot, req *table.ScanR
 		return g, false
 	}
 	g := &fusionGroup{
-		key: key, snap: snap, epoch: epoch,
+		key: key, snap: snap,
 		members: []*fusionMember{m},
 		full:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -308,7 +306,7 @@ func (s *System) executeFused(g *fusionGroup) {
 	}
 	if s.cache != nil {
 		for ui := range reqs {
-			s.cache.store(&reqs[ui], g.epoch, answers[ui].Result, answers[ui].Cells, d.Queue)
+			s.cache.store(&reqs[ui], g.snap, answers[ui].Result, answers[ui].Cells, d.Queue)
 		}
 	}
 }

@@ -27,6 +27,9 @@ type RealOutcome struct {
 	// through the scheduler.
 	Attempts int
 	Err      error
+	// snap is the epoch snapshot the answer was computed at (nil on
+	// static systems): the result cache stores against it.
+	snap *table.Snapshot
 }
 
 // RealResult summarises a RunReal execution.
@@ -117,6 +120,7 @@ func (s *System) RunReal(queries []*query.Query) (*RealResult, error) {
 			EstServiceSeconds: est, ActServiceSeconds: act,
 			Attempts: j.attempt + 1,
 			Err:      err,
+			snap:     j.snap,
 		}
 		wg.Done()
 	}

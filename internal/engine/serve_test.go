@@ -32,33 +32,33 @@ func TestResultCacheExactKeepFirstEviction(t *testing.T) {
 	q1 := cacheReq(table.AggSum, 3, 9)
 	r1 := table.ScanResult{Value: 42.5, Rows: 7}
 	qr := sched.QueueRef{Kind: sched.QueueGPU, Index: 2}
-	c.store(&q1, 0, r1, nil, qr)
+	c.store(&q1, nil, r1, nil, qr)
 
-	ans, ok := c.lookup(&q1, 0)
+	ans, ok := c.lookup(&q1, nil)
 	if !ok || !resultBits(ans.result, r1) || ans.queue != qr || ans.subsumed {
 		t.Fatalf("exact lookup: ok=%v ans=%+v", ok, ans)
 	}
 
 	// A different interval on the same column is a different key.
 	q2 := cacheReq(table.AggSum, 3, 10)
-	if _, ok := c.lookup(&q2, 0); ok {
+	if _, ok := c.lookup(&q2, nil); ok {
 		t.Fatal("different interval hit the cache")
 	}
 
 	// Keep-first: a second store under the same key must not flap the bits.
-	c.store(&q1, 0, table.ScanResult{Value: 99, Rows: 7}, nil, sched.QueueRef{Kind: sched.QueueGPU, Index: 5})
-	if ans, ok := c.lookup(&q1, 0); !ok || !resultBits(ans.result, r1) || ans.queue != qr {
+	c.store(&q1, nil, table.ScanResult{Value: 99, Rows: 7}, nil, sched.QueueRef{Kind: sched.QueueGPU, Index: 5})
+	if ans, ok := c.lookup(&q1, nil); !ok || !resultBits(ans.result, r1) || ans.queue != qr {
 		t.Fatalf("keep-first violated: %+v", ans)
 	}
 
 	// FIFO eviction at max=2: storing a third entry evicts q1.
-	c.store(&q2, 0, table.ScanResult{Value: 1, Rows: 1}, nil, qr)
+	c.store(&q2, nil, table.ScanResult{Value: 1, Rows: 1}, nil, qr)
 	q3 := cacheReq(table.AggSum, 0, 1)
-	c.store(&q3, 0, table.ScanResult{Value: 2, Rows: 2}, nil, qr)
-	if _, ok := c.lookup(&q1, 0); ok {
+	c.store(&q3, nil, table.ScanResult{Value: 2, Rows: 2}, nil, qr)
+	if _, ok := c.lookup(&q1, nil); ok {
 		t.Fatal("FIFO eviction kept the oldest entry")
 	}
-	if _, ok := c.lookup(&q2, 0); !ok {
+	if _, ok := c.lookup(&q2, nil); !ok {
 		t.Fatal("eviction dropped a younger entry")
 	}
 	st := c.snapshotStats()
@@ -67,43 +67,193 @@ func TestResultCacheExactKeepFirstEviction(t *testing.T) {
 	}
 }
 
+// cacheEpochs publishes a sequence of epochs over one generated table:
+// epoch 0 holds its first base rows, and each later epoch appends the
+// next delta rows (or, for a zero delta, re-publishes the previous stripe
+// in place, as compaction does — the row set is unchanged).
+func cacheEpochs(t *testing.T, ft *table.FactTable, base int, deltas []int) []*table.Snapshot {
+	t.Helper()
+	slice := func(lo, hi int) *table.FactTable {
+		p, err := table.Slice(ft, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	reg, err := table.NewRegistry(*ft.Schema(), slice(0, base), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps := []*table.Snapshot{reg.Current()}
+	lo := base
+	for _, n := range deltas {
+		var snap *table.Snapshot
+		if n == 0 {
+			last := snaps[len(snaps)-1].Stripes()
+			st := last[len(last)-1]
+			snap, err = reg.Publish([]*table.FactTable{st.Table()}, table.StripeBase, []uint64{st.ID()}, nil)
+		} else {
+			snap, err = reg.Publish([]*table.FactTable{slice(lo, lo+n)}, table.StripeDelta, nil, nil)
+			lo += n
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, snap)
+	}
+	return snaps
+}
+
+// scanAt is the reference answer of req at a snapshot.
+func scanAt(t *testing.T, snap *table.Snapshot, req table.ScanRequest) table.ScanResult {
+	t.Helper()
+	r, err := table.ScanSnapshot(snap, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestResultCacheEpochOwnership pins the epoch carry-over contract: a
+// count/min/max entry survives newer epochs by folding only the appended
+// rows (bit-identical to a full scan of the pinned snapshot), a
+// compaction-only epoch extends nothing, sum/avg entries are dropped on
+// the first newer epoch, and lookups pinned older than an entry miss.
 func TestResultCacheEpochOwnership(t *testing.T) {
-	c := newResultCache(0)
-	q := cacheReq(table.AggCount, 0, 5)
-	r := table.ScanResult{Value: 3, Rows: 3}
-	c.store(&q, 1, r, nil, sched.QueueRef{})
-	if _, ok := c.lookup(&q, 1); !ok {
-		t.Fatal("store at epoch 1 not visible")
+	ft, err := table.Generate(table.GenSpec{Schema: table.PaperSchema(), Rows: 3000, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
 	}
+	// Epochs: 0 (2000 rows), 1 (+500), 2 (compaction: same rows), 3 (+500).
+	snaps := cacheEpochs(t, ft, 2000, []int{500, 0, 500})
+	qr := sched.QueueRef{Kind: sched.QueueGPU, Index: 1}
+	for _, op := range []table.AggOp{table.AggCount, table.AggMin, table.AggMax} {
+		c := newResultCache(0)
+		q := cacheReq(op, 2, 20)
+		sum := cacheReq(table.AggSum, 2, 20)
+		c.store(&q, snaps[0], scanAt(t, snaps[0], q), nil, qr)
+		c.store(&sum, snaps[0], scanAt(t, snaps[0], sum), nil, qr)
+		if ans, ok := c.lookup(&q, snaps[0]); !ok || ans.extended || !resultBits(ans.result, scanAt(t, snaps[0], q)) {
+			t.Fatalf("op %v: same-epoch lookup ok=%v %+v", op, ok, ans)
+		}
 
-	// An older pinned epoch misses without wiping the current entries.
-	if _, ok := c.lookup(&q, 0); ok {
-		t.Fatal("stale-epoch lookup hit")
-	}
-	if _, ok := c.lookup(&q, 1); !ok {
-		t.Fatal("stale-epoch lookup wiped current entries")
-	}
-	// A stale store is dropped.
-	q2 := cacheReq(table.AggCount, 0, 9)
-	c.store(&q2, 0, r, nil, sched.QueueRef{})
-	if _, ok := c.lookup(&q2, 1); ok {
-		t.Fatal("stale-epoch store was kept")
-	}
+		// Epoch 1: the entry folds the 500 appended rows.
+		ans, ok := c.lookup(&q, snaps[1])
+		if !ok || !ans.extended || ans.subsumed || ans.queue != qr {
+			t.Fatalf("op %v: epoch-1 lookup ok=%v %+v", op, ok, ans)
+		}
+		if want := scanAt(t, snaps[1], q); !resultBits(ans.result, want) {
+			t.Fatalf("op %v: extended (%v, %d) != scan (%v, %d)", op, ans.result.Value, ans.result.Rows, want.Value, want.Rows)
+		}
+		if _, ok := c.lookup(&sum, snaps[1]); ok {
+			t.Fatalf("op %v: sum entry served across an epoch", op)
+		}
+		st := c.snapshotStats()
+		if st.Extensions != 1 || st.ExtendedRows != 500 || st.EpochInvalidations != 1 {
+			t.Fatalf("op %v: stats after epoch 1: %+v", op, st)
+		}
 
-	// A newer epoch wipes everything exactly once.
-	if _, ok := c.lookup(&q, 2); ok {
-		t.Fatal("entry survived epoch publication")
+		// The installed extension is at epoch 1: a lookup pinned at epoch 0
+		// misses; epoch 2 (compaction only) hits without folding anything.
+		if _, ok := c.lookup(&q, snaps[0]); ok {
+			t.Fatalf("op %v: lookup pinned older than the entry hit", op)
+		}
+		if ans, ok := c.lookup(&q, snaps[2]); !ok || ans.extended || !resultBits(ans.result, scanAt(t, snaps[2], q)) {
+			t.Fatalf("op %v: compaction-epoch lookup ok=%v %+v", op, ok, ans)
+		}
+
+		// A sum answer from an epoch the cache has left is not stored; a
+		// count/min/max one is, and extends over both deltas later.
+		c.store(&sum, snaps[1], scanAt(t, snaps[1], sum), nil, qr)
+		if _, ok := c.lookup(&sum, snaps[1]); ok {
+			t.Fatalf("op %v: stale sum store kept", op)
+		}
+		// Compaction re-cut the stripes but kept the rows: a sum stored at
+		// epoch 2 still misses for a lookup pinned at epoch 1.
+		c.store(&sum, snaps[2], scanAt(t, snaps[2], sum), nil, qr)
+		if _, ok := c.lookup(&sum, snaps[1]); ok {
+			t.Fatalf("op %v: epoch-2 sum served to an epoch-1 pin", op)
+		}
+		if _, ok := c.lookup(&sum, snaps[2]); !ok {
+			t.Fatalf("op %v: epoch-2 sum store not visible", op)
+		}
+		q2 := cacheReq(op, 0, 9)
+		c.store(&q2, snaps[0], scanAt(t, snaps[0], q2), nil, qr)
+		ans, ok = c.lookup(&q2, snaps[3])
+		if !ok || !ans.extended || !resultBits(ans.result, scanAt(t, snaps[3], q2)) {
+			t.Fatalf("op %v: stale-epoch entry extended to epoch 3: ok=%v %+v", op, ok, ans)
+		}
+		if st := c.snapshotStats(); st.Extensions != 2 || st.ExtendedRows != 1500 || st.EpochInvalidations != 2 {
+			t.Fatalf("op %v: final stats %+v", op, st)
+		}
 	}
-	st := c.snapshotStats()
-	if st.EpochInvalidations != 1 {
-		t.Fatalf("EpochInvalidations = %d, want 1 (stats %+v)", st.EpochInvalidations, st)
+}
+
+// TestResultCacheCellTailRuns drives one cell entry through more
+// extensions than cellTailRuns: every subsumed fold, before and after the
+// tail runs merge into the base, is bit-identical to scanning the pinned
+// snapshot, and the FIFO order holds exactly one key per live entry.
+func TestResultCacheCellTailRuns(t *testing.T) {
+	ft, err := table.Generate(table.GenSpec{Schema: table.PaperSchema(), Rows: 4000, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Wiping an already-empty cache is not an invalidation.
-	if _, ok := c.lookup(&q, 3); ok {
-		t.Fatal("hit on empty cache")
+	deltas := make([]int, 2*cellTailRuns+1)
+	for i := range deltas {
+		deltas[i] = 100
 	}
-	if st := c.snapshotStats(); st.EpochInvalidations != 1 {
-		t.Fatalf("empty wipe counted as invalidation: %+v", st)
+	snaps := cacheEpochs(t, ft, 1500, deltas)
+	rng := rand.New(rand.NewSource(5))
+	for _, op := range []table.AggOp{table.AggCount, table.AggMin, table.AggMax} {
+		c := newResultCache(0)
+		outer := table.ScanRequest{Op: op, Measure: 1, Predicates: []table.RangePredicate{
+			{Dim: 1, Level: 1, From: 0, To: 31},
+			{Dim: 0, Level: 1, From: 1, To: 30},
+		}}
+		greq := table.GroupScanRequest{ScanRequest: outer, GroupBy: []table.GroupCol{{Dim: 0, Level: 1}, {Dim: 1, Level: 1}}}
+		cells, err := table.GroupScanSnapshotRange(snaps[0], greq, 0, snaps[0].Rows())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.store(&outer, snaps[0], scanAt(t, snaps[0], outer), cells, sched.QueueRef{})
+		sum := cacheReq(table.AggSum, 0, 3)
+		merged := false
+		for ei, snap := range snaps {
+			// A sum entry per epoch: each is dropped at the next one.
+			c.store(&sum, snap, scanAt(t, snap, sum), nil, sched.QueueRef{})
+			inner := outer
+			inner.Predicates = append([]table.RangePredicate(nil), outer.Predicates...)
+			for pi := range inner.Predicates {
+				p := &inner.Predicates[pi]
+				p.From += uint32(rng.Intn(8))
+				p.To -= uint32(rng.Intn(8))
+			}
+			ans, ok := c.lookup(&inner, snap)
+			if !ok || !ans.subsumed || ans.extended != (ei > 0) {
+				t.Fatalf("op %v epoch %d: ok=%v %+v", op, ei, ok, ans)
+			}
+			if want := scanAt(t, snap, inner); !resultBits(ans.result, want) {
+				t.Fatalf("op %v epoch %d: subsumed (%v, %d) != scan (%v, %d)",
+					op, ei, ans.result.Value, ans.result.Rows, want.Value, want.Rows)
+			}
+			if ans, ok := c.lookup(&outer, snap); !ok || !resultBits(ans.result, scanAt(t, snap, outer)) {
+				t.Fatalf("op %v epoch %d: anchor ok=%v %+v", op, ei, ok, ans)
+			}
+			e := c.entries[cacheKey(&outer, table.CanonicalPredOrder(outer.Predicates))]
+			if len(e.cells.tail) >= cellTailRuns {
+				t.Fatalf("op %v epoch %d: %d unmerged tail runs", op, ei, len(e.cells.tail))
+			}
+			merged = merged || (ei > 0 && len(e.cells.tail) == 0)
+			if len(c.order) != len(c.entries) {
+				t.Fatalf("op %v epoch %d: %d FIFO keys for %d entries", op, ei, len(c.order), len(c.entries))
+			}
+		}
+		if !merged {
+			t.Fatalf("op %v: tail runs never merged into the base", op)
+		}
+		if st := c.snapshotStats(); st.Extensions != int64(len(deltas)) || st.EpochInvalidations != int64(len(deltas)) {
+			t.Fatalf("op %v: stats %+v", op, st)
+		}
 	}
 }
 
@@ -135,7 +285,7 @@ func TestResultCacheSubsumptionFold(t *testing.T) {
 			t.Fatal(err)
 		}
 		stored := table.Finalize(op, table.FoldCells(op, states[0].Cells))
-		c.store(&outer, 0, stored, states[0].Cells, sched.QueueRef{Kind: sched.QueueGPU, Index: 1})
+		c.store(&outer, nil, stored, states[0].Cells, sched.QueueRef{Kind: sched.QueueGPU, Index: 1})
 
 		for i := 0; i < 25; i++ {
 			inner := outer
@@ -147,7 +297,7 @@ func TestResultCacheSubsumptionFold(t *testing.T) {
 				hi := lo + uint32(rng.Intn(int(p.To-lo)+1))
 				p.From, p.To = lo, hi
 			}
-			ans, ok := c.lookup(&inner, 0)
+			ans, ok := c.lookup(&inner, nil)
 			exact := true
 			for pi := range inner.Predicates {
 				if inner.Predicates[pi].From != outer.Predicates[pi].From ||
@@ -175,12 +325,12 @@ func TestResultCacheSubsumptionFold(t *testing.T) {
 		wide := outer
 		wide.Predicates = append([]table.RangePredicate(nil), outer.Predicates...)
 		wide.Predicates[0].From = 0
-		if _, ok := c.lookup(&wide, 0); ok {
+		if _, ok := c.lookup(&wide, nil); ok {
 			t.Fatalf("op %v: non-contained interval subsumed", op)
 		}
 		sum := outer
 		sum.Op = table.AggSum
-		if _, ok := c.lookup(&sum, 0); ok {
+		if _, ok := c.lookup(&sum, nil); ok {
 			t.Fatalf("sum lookup subsumed from %v cells", op)
 		}
 	}
@@ -327,9 +477,10 @@ func TestServeSubsumption(t *testing.T) {
 	}
 }
 
-// TestServeLiveEpochInvalidation pins the invalidation contract: ingest
-// epoch publication wipes the cache, and post-ingest serves see the new
-// rows instead of stale cached answers.
+// TestServeLiveEpochInvalidation pins the epoch contract end to end:
+// after ingest, a cached count is extended by the appended rows rather
+// than recomputed — an extended cache hit, bit-identical to scanning the
+// new epoch — while a cached sum is not served across the epoch.
 func TestServeLiveEpochInvalidation(t *testing.T) {
 	s, err := Setup(SetupSpec{
 		Rows: 2000, Seed: 1, Live: true,
@@ -353,49 +504,62 @@ func TestServeLiveEpochInvalidation(t *testing.T) {
 		},
 		Op: table.AggCount,
 	}
-	out1, err := s.Serve(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out1.Result.Rows != 2000 {
-		t.Fatalf("pre-ingest count %d, want 2000", out1.Result.Rows)
-	}
-	out2, err := s.Serve(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out2.CacheHit || !resultBits(out2.Result, out1.Result) {
-		t.Fatalf("re-serve not a cache hit: %+v", out2)
+	sum := q.Clone()
+	sum.Op = table.AggSum
+	for _, qq := range []*query.Query{q, sum} {
+		first, err := s.Serve(qq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := s.Serve(qq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !again.CacheHit || again.Extended || !resultBits(again.Result, first.Result) {
+			t.Fatalf("op %v re-serve not a plain cache hit: %+v", qq.Op, again)
+		}
 	}
 
 	rows := make([]table.Row, 12)
 	for i := range rows {
 		rows[i] = liveRow(i)
 	}
-	if _, err := s.Ingest(&ingest.Batch{Rows: rows}); err != nil {
+	snap, err := s.Ingest(&ingest.Batch{Rows: rows})
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	out3, err := s.Serve(q)
+	out, err := s.Serve(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out3.CacheHit {
-		t.Fatal("post-ingest serve answered from the stale epoch's cache")
+	if !out.CacheHit || !out.Extended || out.Result.Rows != 2012 {
+		t.Fatalf("post-ingest count: %+v, want an extended cache hit of 2012 rows", out)
 	}
-	if out3.Result.Rows != 2012 {
-		t.Fatalf("post-ingest count %d, want 2012", out3.Result.Rows)
+	want, err := s.ReferenceAt(q, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resultBits(out.Result, want) {
+		t.Fatalf("extended count (%v, %d) != ScanSnapshot (%v, %d)", out.Result.Value, out.Result.Rows, want.Value, want.Rows)
+	}
+	sumOut, err := s.Serve(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sumOut.CacheHit {
+		t.Fatalf("sum served from a previous epoch's entry: %+v", sumOut)
 	}
 	cs := s.CacheStats()
-	if cs.EpochInvalidations == 0 {
-		t.Fatalf("no epoch invalidation recorded: %+v", cs)
+	if cs.Extensions != 1 || cs.ExtendedRows != 12 || cs.EpochInvalidations != 1 {
+		t.Fatalf("cache stats after one ingest: %+v", cs)
 	}
-	out4, err := s.Serve(q)
+	again, err := s.Serve(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out4.CacheHit || !resultBits(out4.Result, out3.Result) {
-		t.Fatalf("new-epoch re-serve not a cache hit: %+v", out4)
+	if !again.CacheHit || again.Extended || !resultBits(again.Result, out.Result) {
+		t.Fatalf("new-epoch re-serve not a plain cache hit: %+v", again)
 	}
 }
 

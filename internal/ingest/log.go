@@ -36,21 +36,31 @@ const maxBatchColumns = 1 << 10
 const maxBatchRows = 1 << 24
 
 // encodeBatch marshals a batch as one self-contained binio payload with
-// its own trailing CRC-32.
+// its own trailing CRC-32. Coordinates are written in place in U32s'
+// layout and the buffer is sized up front, so the cost per row is writes,
+// not allocations.
 func encodeBatch(b *Batch) ([]byte, error) {
+	size := 8 + 4 // row count, CRC
+	for i := range b.Rows {
+		r := &b.Rows[i]
+		size += 8 + 4*len(r.Coords) + 8 + 8*len(r.Measures) + 8
+		for _, s := range r.Texts {
+			size += 4 + len(s)
+		}
+	}
 	var buf bytes.Buffer
+	buf.Grow(size)
 	w := binio.NewWriter(&buf)
 	w.U64(uint64(len(b.Rows)))
 	for i := range b.Rows {
 		r := &b.Rows[i]
-		coords := make([]uint32, len(r.Coords))
-		for d, c := range r.Coords {
+		w.U64(uint64(len(r.Coords)))
+		for _, c := range r.Coords {
 			if c < 0 {
 				return nil, fmt.Errorf("ingest: negative coordinate %d", c)
 			}
-			coords[d] = uint32(c)
+			w.U32(uint32(c))
 		}
-		w.U32s(coords)
 		w.F64s(r.Measures)
 		w.U64(uint64(len(r.Texts)))
 		for _, s := range r.Texts {

@@ -50,3 +50,57 @@ func GroupScanSnapshot(snap *Snapshot, req GroupScanRequest) ([]GroupRow, error)
 	}
 	return FinalizeGroups(req.Op, g, len(req.GroupBy)), nil
 }
+
+// ScanSnapshotRange runs req over the snapshot's logical rows [lo, hi) —
+// the stripes overlapping the range, in order, threading one running
+// accumulator — and returns the partial (pre-Finalize) result. Ingest only
+// appends and compaction preserves row order, so the rows a newer epoch
+// added past an older epoch's Rows() are exactly this range: the result
+// cache folds it into entries computed at the older epoch.
+func ScanSnapshotRange(snap *Snapshot, req ScanRequest, lo, hi int) (ScanResult, error) {
+	acc := ScanResult{}
+	err := snapshotRanges(snap, lo, hi, func(t *FactTable, from, to int) error {
+		pl, err := BindScan(t, req)
+		if err == nil {
+			acc, err = pl.RangeFrom(acc, from, to)
+		}
+		return err
+	})
+	return acc, err
+}
+
+// GroupScanSnapshotRange is the grouped counterpart of ScanSnapshotRange:
+// partial per-group accumulators over the logical rows [lo, hi).
+func GroupScanSnapshotRange(snap *Snapshot, req GroupScanRequest, lo, hi int) (Groups, error) {
+	dst := make(Groups)
+	err := snapshotRanges(snap, lo, hi, func(t *FactTable, from, to int) error {
+		pl, err := BindGroupScan(t, req)
+		if err == nil {
+			dst, err = pl.RangeInto(from, to, dst)
+		}
+		return err
+	})
+	return dst, err
+}
+
+// snapshotRanges calls fn, in row order, with every stripe overlapping
+// the logical rows [lo, hi) and the stripe-local bounds of the overlap.
+func snapshotRanges(snap *Snapshot, lo, hi int, fn func(t *FactTable, from, to int) error) error {
+	if lo < 0 || hi > snap.rows || lo > hi {
+		return fmt.Errorf("table: snapshot range [%d,%d) outside [0,%d)", lo, hi, snap.rows)
+	}
+	off := 0
+	for _, st := range snap.stripes {
+		n := st.Rows()
+		if off+n > lo && off < hi {
+			if err := fn(st.t, max(lo-off, 0), min(hi-off, n)); err != nil {
+				return err
+			}
+		}
+		off += n
+		if off >= hi {
+			break
+		}
+	}
+	return nil
+}

@@ -250,3 +250,84 @@ func TestScanSnapshotMatchesRebuild(t *testing.T) {
 		}
 	}
 }
+
+// TestScanSnapshotRangeMatchesRowRange: a row-range scan of a multi-stripe
+// snapshot — ranges inside one stripe, across boundaries, empty, whole —
+// must be bit-identical to the reference row-range kernels over one table
+// holding the same rows, and an out-of-range request must fail.
+func TestScanSnapshotRangeMatchesRowRange(t *testing.T) {
+	whole := stripeTable(t, 2*BatchSize+331, 22)
+	cuts := []int{0, 40, 40, BatchSize + 5, whole.Rows()}
+	var parts []*FactTable
+	for i := 0; i+1 < len(cuts); i++ {
+		p, err := Slice(whole, cuts[i], cuts[i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, p)
+	}
+	reg, err := NewRegistry(diffSchema(), parts[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := reg.Publish(parts[1:], StripeDelta, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reqs := []ScanRequest{
+		{Op: AggSum, Measure: 0, Predicates: []RangePredicate{{Dim: 0, Level: 1, From: 3, To: 33}}},
+		{Op: AggCount, Predicates: []RangePredicate{{Dim: 1, Level: 1, From: 10, To: 44}}},
+		{Op: AggMin, Measure: 1},
+		{Op: AggMax, Measure: 0, Predicates: []RangePredicate{{Dim: 2, Level: 0, From: 2, To: 8}}},
+	}
+	groupBy := []GroupCol{{Dim: 0, Level: 1}, {Dim: 2, Level: 0}}
+	bounds := []int{0, 1, 39, 40, 41, BatchSize, BatchSize + 5, BatchSize + 6, whole.Rows() - 1, whole.Rows()}
+	for ri, req := range reqs {
+		for _, lo := range bounds {
+			for _, hi := range bounds {
+				if hi < lo {
+					continue
+				}
+				want, err := ScanRange(whole, req, lo, hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := ScanSnapshotRange(snap, req, lo, hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Rows != want.Rows || math.Float64bits(got.Value) != math.Float64bits(want.Value) {
+					t.Fatalf("req %d [%d,%d): snapshot %+v != rows %+v", ri, lo, hi, got, want)
+				}
+
+				greq := GroupScanRequest{ScanRequest: req, GroupBy: groupBy}
+				gwant, err := GroupScanRange(whole, greq, lo, hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ggot, err := GroupScanSnapshotRange(snap, greq, lo, hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ggot) != len(gwant) {
+					t.Fatalf("greq %d [%d,%d): %d groups, want %d", ri, lo, hi, len(ggot), len(gwant))
+				}
+				for k, w := range gwant {
+					g, ok := ggot[k]
+					if !ok || g.Rows != w.Rows || math.Float64bits(g.Value) != math.Float64bits(w.Value) {
+						t.Fatalf("greq %d [%d,%d) group %x: %+v != %+v", ri, lo, hi, k, g, w)
+					}
+				}
+			}
+		}
+	}
+	for _, r := range [][2]int{{-1, 3}, {5, 4}, {0, whole.Rows() + 1}} {
+		if _, err := ScanSnapshotRange(snap, reqs[0], r[0], r[1]); err == nil {
+			t.Errorf("range %v accepted", r)
+		}
+		if _, err := GroupScanSnapshotRange(snap, GroupScanRequest{ScanRequest: reqs[0], GroupBy: groupBy}, r[0], r[1]); err == nil {
+			t.Errorf("grouped range %v accepted", r)
+		}
+	}
+}
